@@ -226,13 +226,15 @@ def format_warm_cache_disk(row: dict) -> str:
 
 def format_opt_pipeline(row: dict) -> str:
     """Render the middle-end pipeline experiment (O0 vs O2 engines)."""
-    out = ["Optimizing middle-end: tree interpreters (-O0) vs optimized "
-           "bytecode (-O2)", _rule(),
-           f"{'Benchmark':<20}{'O0 exec s':>12}{'O2 exec s':>12}"
-           f"{'Speedup':>10}", _rule()]
+    out = ["Optimizing middle-end: unoptimized (-O0) vs optimized (-O2) "
+           "bytecode", _rule(),
+           f"{'Benchmark':<18}{'O0 exec s':>11}{'O2 exec s':>11}"
+           f"{'Speedup':>9}{'O0 sim ms':>11}{'O2 sim ms':>11}", _rule()]
     for name, r in row["benchmarks"].items():
-        out.append(f"{name:<20}{r['o0_seconds']:>12.4f}"
-                   f"{r['o2_seconds']:>12.4f}{r['speedup']:>9.2f}x")
+        out.append(f"{name:<18}{r['o0_seconds']:>11.4f}"
+                   f"{r['o2_seconds']:>11.4f}{r['speedup']:>8.2f}x"
+                   f"{r['o0_sim_seconds'] * 1e3:>11.4f}"
+                   f"{r['o2_sim_seconds'] * 1e3:>11.4f}")
     passes = ", ".join(f"{name} x{runs}" for name, runs
                        in sorted(row["cold_pass_runs"].items()))
     out += [_rule(),

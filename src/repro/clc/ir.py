@@ -218,9 +218,9 @@ class ProgramIR:
     """A compiled translation unit: kernels plus helper functions."""
     functions: dict = field(default_factory=dict)   # name -> Function
     source: str = ""
-    #: opt level the middle-end ran at (0 = tree only, no bytecode)
+    #: opt level the middle-end ran at (0 = no rewriting pass)
     opt_level: int = 0
-    #: :class:`repro.clc.lower.ProgramBytecode` or None at O0
+    #: :class:`repro.clc.lower.ProgramBytecode`; None until optimized
     bytecode: object = None
 
     @property

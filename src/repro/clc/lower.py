@@ -1,13 +1,13 @@
-"""Lowering of the optimized tree IR into flat register bytecode.
+"""Lowering of the (optimized) tree IR into flat register bytecode.
 
-The tree walked by the engines has two costs real drivers don't pay:
+Walking the tree IR has two costs real drivers don't pay:
 Python ``isinstance`` dispatch per node per work-item, and re-deriving
 facts (operand dtypes, operator costs, memory spaces) on every visit.
 This module flattens each function once into a register machine:
 
 * every parameter and declared variable gets a *named register* (flat,
   name-keyed — inner-scope redeclarations share the outer register,
-  exactly like the engines' name-keyed environments);
+  exactly like the serial tree walker's name-keyed environment);
 * every sub-expression gets a dedicated temp register, so register
   indices are fully static;
 * constants and work-item queries are deduplicated and hoisted into a
@@ -267,8 +267,8 @@ class _FuncLowerer:
 
     def _coerce(self, reg: int, src_type, dst_type, line: int = 0) -> int:
         """Free cast (castf) when the value needs an uncounted implicit
-        conversion the tree engines performed at assignment/call/return
-        boundaries."""
+        conversion at an assignment/call/return boundary (the serial
+        tree walker performs it without charging for it)."""
         if isinstance(src_type, ScalarType) and src_type is dst_type:
             return reg
         tmp = self._temp()
@@ -486,7 +486,7 @@ class _FuncLowerer:
 #
 # Serialized Instr objects are convenient to store but slow to execute;
 # linking converts each into a plain tuple with integer opcodes, numpy
-# dtypes and precomputed costs, shared by both engines.  The result is
+# dtypes and precomputed costs, shared by every engine.  The result is
 # cached on the ProgramBytecode instance (an ad-hoc attribute the IR
 # codec never sees).
 
@@ -504,7 +504,7 @@ L_ISFLOAT = 10
 L_LINE = 11
 L_UNI = 12
 
-#: per-op vector ALU cost (mirrors vector.py's _OP_COST table)
+#: per-op vector ALU cost in fp32-add units (1.0 unless listed)
 _VCOSTS = {OP_DIV: 8.0, OP_MOD: 16.0}
 
 _COUNTED_OPS = frozenset({

@@ -313,7 +313,9 @@ class Array:
         event later *fails* (fault injection, failed dependency), the
         kernel never touched memory, so the pre-launch coherence state
         is restored — a retry sees the array exactly as before the
-        doomed launch.
+        doomed launch.  A device copy whose producer event failed too
+        (say the launch's own h2d copy-in) is restored as invalid, so the
+        retry copies it in again instead of waiting on a failed event.
         """
         prev = (self._host_valid, self.host_event,
                 dict(self._device_valid), dict(self._device_event))
@@ -334,8 +336,13 @@ class Array:
                 restored_valid = dict(prev[2])
                 for d in self._device_valid:    # buffers created since
                     restored_valid.setdefault(d, False)
+                self._device_event = {}
+                for d, producer in prev[3].items():
+                    if producer.is_failed:      # e.g. this launch's h2d
+                        restored_valid[d] = False
+                    else:
+                        self._device_event[d] = producer
                 self._device_valid = restored_valid
-                self._device_event = dict(prev[3])
 
             event.add_callback(_undo)
 

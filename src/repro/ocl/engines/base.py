@@ -9,10 +9,9 @@ An execution backend ("engine") is a class with
   :class:`~repro.ocl.devicedb.DeviceSpec`,
 * ``run(kernel_name, args, global_size, local_size=None)`` returning a
   filled :class:`~repro.ocl.costmodel.CostCounters`,
-* a ``capabilities`` frozenset of feature flags (``"tree"``,
-  ``"bytecode"``, ``"simt"``, ``"codegen"``) and a ``codegen_version``
-  int (0 for interpreters; bumped whenever a code-generating backend
-  changes its emitted code, so cached artifacts are invalidated).
+* a ``codegen_version`` int (0 for interpreters; bumped whenever a
+  code-generating backend changes its emitted code, so cached artifacts
+  are invalidated).
 
 Backends register themselves with :func:`register_engine` (usable as a
 decorator); :class:`~repro.ocl.device.Device` resolves names through
@@ -33,7 +32,8 @@ import numpy as np
 from ...clc.lower import BYTECODE_VERSION, linked_program
 from ...clc.types import CLType, PointerType, ScalarType
 from ...errors import (InvalidKernelArgs, InvalidWorkDimension,
-                       InvalidWorkGroupSize, OutOfResources)
+                       InvalidWorkGroupSize, KernelLaunchError,
+                       OutOfResources)
 
 #: environment variable naming the default execution backend
 ENV_ENGINE = "HPL_ENGINE"
@@ -126,15 +126,20 @@ def default_engine() -> str:
 
 
 def linked_entry(program, kernel_name: str):
-    """``(linked functions dict, entry)`` for ``kernel_name`` when the
-    program ships bytecode the engines understand (O1+), else
-    ``(None, None)`` — the tree-walking fallback.  Shared by every
-    bytecode-capable backend so the version check cannot drift."""
+    """``(linked functions dict, entry)`` for ``kernel_name``.
+
+    Every built program carries bytecode; one without it, or with a
+    foreign ``BYTECODE_VERSION`` (say a stale cache artifact), raises
+    :class:`KernelLaunchError` instead of running.  Shared by every
+    backend so the version check cannot drift."""
     pbc = getattr(program, "bytecode", None)
-    if pbc is None or getattr(pbc, "version", None) != BYTECODE_VERSION:
-        return None, None
+    if pbc is None or getattr(pbc, "version", None) != BYTECODE_VERSION \
+            or kernel_name not in pbc.functions:
+        raise KernelLaunchError(
+            f"kernel {kernel_name!r} has no bytecode of version "
+            f"{BYTECODE_VERSION}; rebuild the program")
     linked = linked_program(pbc)
-    return linked, linked.get(kernel_name)
+    return linked, linked[kernel_name]
 
 
 def wiq_value(qcode: int, dim: int, name: str, ids, nd):

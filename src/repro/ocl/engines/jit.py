@@ -770,14 +770,14 @@ def load_module(source: str):
 class JitEngine(VectorEngine):
     """Whole-work-group execution through generated NumPy code.
 
-    Inherits the vector engine's launch plumbing, argument binding, tree
-    fallback (``-O0`` programs carry no bytecode) and bounds/atomic
-    helpers; only the bytecode execution path is replaced by compiled
-    functions.  Any codegen failure falls back to the interpreter.
+    Inherits the vector engine's launch plumbing, argument binding and
+    bounds/atomic helpers; only the bytecode execution path is replaced
+    by compiled functions.  Code is generated for ``-O1`` and up: an
+    ``-O0`` program runs on the inherited bytecode interpreter, and so
+    does any program whose codegen failed.
     """
 
     name = "jit"
-    capabilities = frozenset({"tree", "bytecode", "simt", "codegen"})
     codegen_version = JIT_CODEGEN_VERSION
 
     @classmethod
@@ -787,15 +787,16 @@ class JitEngine(VectorEngine):
         disk cache rather than in the first launch.  The result is
         memoized on the bytecode object, which every later engine
         instance for this program shares."""
-        if getattr(ir, "bytecode", None) is not None:
+        if ir.opt_level >= 1:
             cls(ir, spec)._jit_functions()
 
-    def _run_bytecode(self, entry, kernel, args) -> None:
+    def _run_bytecode(self, entry, args) -> None:
         code, kbc = entry
-        funcs = self._jit_functions()
+        funcs = (self._jit_functions() if self.program.opt_level >= 1
+                 else None)
         fn = None if funcs is None else funcs.get(kbc.name)
         if fn is None:
-            super()._run_bytecode(entry, kernel, args)
+            super()._run_bytecode(entry, args)
             return
         frame = self._bc_frame(kbc, args)
         self._bloops = []

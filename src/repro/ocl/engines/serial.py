@@ -9,7 +9,11 @@ hardware turns into a hang.
 
 This engine is deliberately simple and slow.  It exists as the correctness
 oracle for :class:`~repro.ocl.engines.vector.VectorEngine` (the two are
-differentially tested) and to run small problems in tests.
+differentially tested) and to run small problems in tests.  It is the
+only engine that walks the typed tree IR, and only for ``-O0`` builds:
+that walker shares no code with the lowering, which is what makes it an
+independent reference.  At ``-O1`` and up it runs the program's
+bytecode.
 """
 
 from __future__ import annotations
@@ -86,7 +90,6 @@ class SerialEngine:
     """Execute a kernel launch one work-item at a time (with barriers)."""
 
     name = "serial"
-    capabilities = frozenset({"tree", "bytecode"})
     codegen_version = 0
 
     def __init__(self, program, spec) -> None:
@@ -109,7 +112,9 @@ class SerialEngine:
                                      work_groups=nd.total_groups)
         ipg = nd.items_per_group
 
-        entry = self._bytecode_entry(kernel_name)
+        entry = None
+        if self.program.opt_level >= 1:
+            self._linked, entry = linked_entry(self.program, kernel_name)
         self._col = prof.begin_launch(kernel_name, self.name, self.spec,
                                       getattr(self.program, "source", ""),
                                       nd.total_items, nd.total_groups)
@@ -137,12 +142,6 @@ class SerialEngine:
         finally:
             self._col = None
         return self.counters
-
-    def _bytecode_entry(self, kernel_name: str):
-        """(linked code, KernelBytecode) when the program ships bytecode
-        this engine understands (O1+), else None (tree fallback)."""
-        self._linked, entry = linked_entry(self.program, kernel_name)
-        return entry
 
     # -- group driving -------------------------------------------------------------
 
@@ -517,7 +516,7 @@ class SerialEngine:
 
     # -- bytecode interpreter (O1+) ------------------------------------------
     #
-    # Same observable semantics as the tree walker above — identical
+    # Same observable semantics as the tree walker above (O0) — identical
     # numerics (every result goes through the same to_dtype coercions),
     # identical memory/barrier counters, generators still yield at
     # barriers so _drive_group keeps detecting divergence — but one flat

@@ -2,16 +2,18 @@
 
 ~200 seeded random OpenCL C kernels (integer/uint/float arithmetic,
 nested ifs and for loops, selects, barriers with __local staging) are
-executed five ways — serial engine at -O0 (tree interpreter, no
-middle-end), serial engine at -O2 (optimized bytecode), vector engine
-at -O2, and the codegen JIT engine at both -O0 (tree fallback) and
--O2 (generated NumPy code) — and every output buffer must match **bit
-for bit**.  Any unsound fold, wrong strength reduction, bad uniformity
-tag, bytecode lowering bug or codegen emission bug shows up as a
-divergence with a reproducible seed.  The JIT leg must additionally
-report cost counters identical to the vector engine's (it is the same
-SIMT execution model on a different substrate; the serial engine's
-*transaction* counters legitimately differ — CPU model).
+executed six ways — serial engine at -O0 (tree interpreter, no
+rewriting pass: the oracle independent of the lowering), serial engine
+at -O2 (optimized bytecode), vector engine at -O0 (unoptimized bytecode)
+and -O2, and the codegen JIT engine at -O0 (inherited bytecode
+interpreter) and -O2 (generated NumPy code) — and every output buffer
+must match **bit for bit**.  Any unsound fold, wrong strength
+reduction, bad uniformity tag, bytecode lowering bug or codegen
+emission bug shows up as a divergence with a reproducible seed.  The
+JIT legs must additionally report cost counters identical to the
+vector engine's at the same opt level (it is the same SIMT execution
+model on a different substrate; the serial engine's *transaction*
+counters legitimately differ — CPU model).
 
 Also holds the satellite regression test that the cost model counts
 *executed post-optimization* ops: -O2 must report fewer ALU ops than
@@ -220,10 +222,10 @@ def _run_config(engine: str, options: str, source: str, gsize, lsize,
 
 @pytest.mark.parametrize("batch", range(_BATCHES))
 def test_random_kernels_bit_identical_across_engines(batch):
-    """serial-O0 == serial-O2 == vector-O2 == jit-O0 == jit-O2, bit for
-    bit, on 10 random kernels per batch (seeds are stable, failures
-    name the kernel); jit counters == vector counters, field for
-    field."""
+    """serial-O0 == serial-O2 == vector-O0 == vector-O2 == jit-O0 ==
+    jit-O2, bit for bit, on 10 random kernels per batch (seeds are
+    stable, failures name the kernel); jit counters == vector counters
+    at each opt level, field for field."""
     for i in range(_KERNELS_PER_BATCH):
         seed = 1000 + batch * _KERNELS_PER_BATCH + i
         gen = _KernelGen(seed)
@@ -239,6 +241,8 @@ def test_random_kernels_bit_identical_across_engines(batch):
             "serial -O0": _run_config("serial", "-cl-opt-disable",
                                       source, gsize, lsize, fin, iin, s),
             "serial -O2": _run_config("serial", "-O2",
+                                      source, gsize, lsize, fin, iin, s),
+            "vector -O0": _run_config("vector", "-cl-opt-disable",
                                       source, gsize, lsize, fin, iin, s),
             "vector -O2": _run_config("vector", "-O2",
                                       source, gsize, lsize, fin, iin, s),
@@ -261,6 +265,9 @@ def test_random_kernels_bit_identical_across_engines(batch):
         # match the vector interpreter exactly
         assert vars(legs["jit -O2"][2]) == vars(legs["vector -O2"][2]), (
             f"seed {seed}: jit -O2 counters diverge from vector -O2\n"
+            f"{source}")
+        assert vars(legs["jit -O0"][2]) == vars(legs["vector -O0"][2]), (
+            f"seed {seed}: jit -O0 counters diverge from vector -O0\n"
             f"{source}")
 
 

@@ -103,6 +103,23 @@ class TestTransientRecovery:
         assert result.failures.retries >= 1
         assert np.array_equal(out, _expected())
 
+    @pytest.mark.parametrize("max_retries", [2, 3])
+    @pytest.mark.parametrize("schedule", ["uniform", "dynamic"])
+    def test_transient_h2d_failure_succeeds_on_first_retry(
+            self, schedule, max_retries):
+        """One failed copy-in costs one retry: the rollback of the
+        abandoned launch must not leave the device copy marked valid
+        and produced by the failed write, which made every retry fail
+        and quarantined the healthy device."""
+        out, result, _c = _run(
+            "device=Tesla kind=transient op=write nth=1", schedule,
+            max_retries=max_retries)
+        f = result.failures
+        assert f.retries == 1
+        assert f.transient_failures == 1
+        assert f.devices_lost == []
+        assert np.array_equal(out, _expected())
+
     def test_backoff_grows_per_attempt_and_is_capped(self):
         from repro.hpl.cluster import _backoff_delay
 

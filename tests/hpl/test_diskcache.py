@@ -14,10 +14,12 @@ import pytest
 
 import repro
 import repro.hpl as hpl
+import repro.ocl as cl
 from repro import trace
-from repro.clc import compile_source
+from repro.clc import compile_source, preprocess
 from repro.clc.ir import _IR_MAGIC, IR_SCHEMA_VERSION, ProgramIR
-from repro.errors import IRSchemaError
+from repro.clc.passes import opt_signature
+from repro.errors import IRSchemaError, KernelLaunchError
 from repro.hpl import Array, Float, float_, idx, reset_runtime
 from repro.hpl.diskcache import (KernelDiskCache, active_cache, cache_key,
                                  main)
@@ -262,6 +264,66 @@ class TestRuntimeIntegration:
             np.testing.assert_allclose(a.data, 10.0)
         finally:
             diskcache._active, diskcache._configured = saved
+
+
+# -- stale -O0 artifacts ------------------------------------------------------
+
+def _build_key(cache, device, options, opt_sig):
+    """The disk-cache key ``Program.build`` derives for ``SOURCE``."""
+    from repro.ocl.program import engine_signature_of
+
+    caps = ("fp64" if device.supports_fp64 else "nofp64",)
+    return cache.key_of(preprocess(SOURCE, options), options, caps,
+                        opt_sig, engine_signature_of([device]))
+
+
+class TestStaleO0Artifacts:
+    @pytest.mark.parametrize("engine", ["vector", "jit"])
+    def test_bytecode_less_o0_entry_is_missed_and_rebuilt(
+            self, disk_cache, cl_run, engine):
+        """Older builds cached -O0 programs as tree IR without bytecode
+        under ``O0:pipe1:bc1``.  No engine can run such an artifact, so
+        it must never be served: the current key differs, the build
+        misses, recompiles, and the program runs correctly."""
+        options = "-cl-opt-disable"
+        device = cl.Device(cl.TESLA_C2050, engine)
+        stale = compile_source(SOURCE, options)
+        assert stale.bytecode is None
+        old_key = _build_key(disk_cache, device, options, "O0:pipe1:bc1")
+        disk_cache.put(old_key, stale)
+        assert opt_signature(0) != "O0:pipe1:bc1"
+
+        hits = _counter("hpl.disk_cache_hits")
+        compiles = _counter("clc.compiles")
+        y = np.arange(64, dtype=np.float32)
+        cl_run(device, SOURCE, "scale", [y, np.float32(2.0)], (64,),
+               options=options)
+        assert _counter("hpl.disk_cache_hits") == hits
+        assert _counter("clc.compiles") == compiles + 1
+        np.testing.assert_array_equal(
+            y, np.arange(64, dtype=np.float32) * np.float32(2.0))
+        rebuilt = disk_cache.get(
+            _build_key(disk_cache, device, options, opt_signature(0)))
+        assert rebuilt is not None and rebuilt.bytecode is not None
+
+    @pytest.mark.parametrize("engine", ["vector", "jit", "serial"])
+    @pytest.mark.parametrize("damage", ["stripped", "foreign-version"])
+    def test_program_without_usable_bytecode_raises(self, engine, damage):
+        device = cl.Device(cl.TESLA_C2050, engine)
+        ctx = cl.Context([device])
+        queue = cl.CommandQueue(ctx, device)
+        program = cl.Program(ctx, SOURCE).build("-O2")
+        if damage == "stripped":
+            program.ir.bytecode = None
+        else:
+            program.ir.bytecode.version += 1
+        kernel = program.create_kernel("scale")
+        buf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=64 * 4)
+        kernel.set_arg(0, buf)
+        kernel.set_arg(1, np.float32(2.0))
+        with pytest.raises(KernelLaunchError, match="'scale'"):
+            queue.enqueue_nd_range_kernel(kernel, (64,))
+            queue.finish()
 
 
 # -- cross-process reuse ------------------------------------------------------

@@ -108,9 +108,10 @@ class TestCodegenEngagement:
         program = cl.Program(cl.Context([device]), KERNEL).build("-O2")
         assert getattr(program.ir.bytecode, "_jit", None) is not None
 
-    def test_o0_falls_back_to_tree_interpreter(self):
-        """-O0 programs carry no bytecode: the jit engine must still
-        run them (inherited tree path) with vector-identical output."""
+    def test_o0_runs_the_bytecode_interpreter(self):
+        """The jit engine generates no code for -O0 programs: it runs
+        their bytecode on the inherited vector interpreter, with
+        vector-identical output and counters."""
         v_out, _h, v_c = _run("vector", "-cl-opt-disable")
         j_out, _h, j_c = _run("jit", "-cl-opt-disable")
         assert j_out.tobytes() == v_out.tobytes()
