@@ -47,6 +47,8 @@ FAULTS = {
                   "device=* kind=transient op=kernel prob=0.1; seed=7"),
     "tesla-lost": "device=Tesla kind=lost at=0.000001",
     "straggler": "device=Quadro kind=slow factor=1024",
+    "write": ("device=Tesla kind=transient op=write nth=1; "
+              "device=Quadro kind=transient op=write nth=2; seed=9"),
 }
 SCHEDULES = (None, "uniform", "weighted", "dynamic")
 
