@@ -232,6 +232,75 @@ def run_warm_cache(ep_class: str = "W") -> dict:
     }
 
 
+# -- artifacts, gates and measured subprocesses -------------------------------
+
+def _write_and_gate(target: str, row: dict, output: str | None,
+                    gates: list) -> dict:
+    """Write ``row`` as the JSON artifact ``output`` (when set), then
+    enforce the target's acceptance ``gates``.
+
+    Each gate is ``(field, op, bound)``: the row value at the dotted
+    path ``field`` must compare to ``bound`` by ``op`` (``==``, ``>=``
+    or ``<=``).  The artifact is written first, so a run that fails a
+    gate still leaves its measurement behind; then one
+    :class:`AssertionError` names every failed gate with its value.
+    """
+    import json
+    import operator
+
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            json.dump(row, fh, indent=2)
+        row["output"] = output
+    compare = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
+    failed = []
+    for field, op, bound in gates:
+        value = row
+        for key in field.split("."):
+            value = value[key]
+        if not compare[op](value, bound):
+            failed.append(f"{field} {op} {bound!r} (got {value!r})")
+    if failed:
+        raise AssertionError(f"{target} failed its gates: "
+                             + "; ".join(failed))
+    return row
+
+
+def _spawn_child(child: str, returncode: int = 0, **kwargs):
+    """Run ``child(**kwargs)`` of this module in a fresh interpreter and
+    return the JSON record it prints on stdout (``None`` when it is
+    expected to die, ``returncode != 0``).
+
+    The child inherits none of the caller's ``HPL_*`` settings (engine,
+    fault plan, profiler, opt level, cache): everything a leg needs
+    arrives as a keyword argument, so it measures what its record says
+    it measured.  Any exit status other than ``returncode`` raises
+    :class:`RuntimeError` with the child's stderr.
+    """
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    environ = {k: v for k, v in os.environ.items()
+               if not k.startswith("HPL_")}
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src_root, environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"from repro.benchsuite.runner import {child}; "
+         f"{child}(**{kwargs!r})"],
+        env=environ, capture_output=True, text=True)
+    if proc.returncode != returncode:
+        raise RuntimeError(f"{child} exited {proc.returncode}, expected "
+                           f"{returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout) if returncode == 0 else None
+
+
 # -- persistent disk cache: cold vs warm process ------------------------------
 
 def _problems_warm_cache() -> dict:
@@ -256,18 +325,20 @@ def _checksum(output) -> float:
                      for p in parts))
 
 
-def _warm_cache_child() -> None:
+def _warm_cache_child(cache_dir: str) -> None:
     """One measured process of the warm-cache experiment.
 
-    Runs the HPL variant of all five paper benchmarks against whatever
-    ``HPL_CACHE_DIR`` points at, then prints a JSON record of compile
-    costs, cache traffic and result checksums on stdout.  Spawned twice
-    (cold, then warm) by :func:`run_warm_cache_disk`.
+    Runs the HPL variant of all five paper benchmarks against the kernel
+    cache in ``cache_dir``, then prints a JSON record of compile costs,
+    cache traffic and result checksums on stdout.  Spawned twice (cold,
+    then warm) by :func:`run_warm_cache_disk`.
     """
     import json
 
     from .. import trace
+    from ..hpl import configure
 
+    configure(cache_dir=cache_dir)
     registry = trace.get_registry()
     rows = {}
     for name, problem in _problems_warm_cache().items():
@@ -292,30 +363,6 @@ def _warm_cache_child() -> None:
     }))
 
 
-def _spawn_warm_cache_child(cache_dir) -> dict:
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = os.environ.copy()
-    env["HPL_CACHE_DIR"] = str(cache_dir)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.benchsuite.runner import _warm_cache_child as c; c()"],
-        env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"warm-cache child failed ({proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
 def run_warm_cache_disk(cache_dir=None,
                         output: str | None = "BENCH_warm_cache.json"
                         ) -> dict:
@@ -323,12 +370,12 @@ def run_warm_cache_disk(cache_dir=None,
 
     Runs all five benchmarks in a fresh subprocess against an empty
     kernel cache (cold), then again in another fresh subprocess against
-    the now-populated cache (warm).  The warm process must perform zero
-    clc compiles — every ``Program.build`` is served from disk — and
-    produce bit-identical results.  With ``output`` set, the row is also
-    written as JSON (the ``BENCH_warm_cache.json`` trajectory artifact).
+    the now-populated cache (warm).  With ``output`` set, the row is
+    written as JSON (the ``BENCH_warm_cache.json`` trajectory artifact);
+    then the target raises unless the warm process performed zero clc
+    compiles and zero disk-cache misses (every ``Program.build`` served
+    from disk) and both processes verified with bit-identical results.
     """
-    import json
     import tempfile
 
     cleanup = None
@@ -336,8 +383,8 @@ def run_warm_cache_disk(cache_dir=None,
         tmp = tempfile.TemporaryDirectory(prefix="hpl-warm-cache-")
         cache_dir, cleanup = tmp.name, tmp
     try:
-        cold = _spawn_warm_cache_child(cache_dir)
-        warm = _spawn_warm_cache_child(cache_dir)
+        cold = _spawn_child("_warm_cache_child", cache_dir=str(cache_dir))
+        warm = _spawn_child("_warm_cache_child", cache_dir=str(cache_dir))
     finally:
         if cleanup is not None:
             cleanup.cleanup()
@@ -368,11 +415,12 @@ def run_warm_cache_disk(cache_dir=None,
             == warm["benchmarks"][name]["checksum"]
             for name in cold["benchmarks"]),
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+    return _write_and_gate("warm-cache", row, output, [
+        ("warm_clc_compiles", "==", 0),
+        ("warm_disk_cache_misses", "==", 0),
+        ("results_identical", "==", True),
+        ("verified", "==", True),
+    ])
 
 
 # -- optimizing middle-end: O0 vs O2, cold vs warm, serial vs vector ----------
@@ -391,26 +439,28 @@ def _problems_opt_tiny() -> dict:
     }
 
 
-def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> None:
+def _opt_pipeline_child(opt_level: int, cache_dir: str | None = None,
+                        engine: str = "vector", tiny: bool = False) -> None:
     """One measured process of the opt-pipeline experiment.
 
-    The optimization level arrives through ``$HPL_OPT_LEVEL`` (set by
-    the spawner) and the cache through ``$HPL_CACHE_DIR``; ``engine``
-    selects the execution engine for every simulated device.  Prints a
-    JSON record with per-benchmark wall times and checksums plus the
-    process-global compile/pass counters that prove (or disprove) that
-    a warm start touched the middle end.
+    Builds at ``opt_level`` against the kernel cache in ``cache_dir``
+    (``None``: uncached); every simulated device runs on ``engine``, and
+    the record's ``engine`` is the one the Tesla actually resolved.
+    Prints a JSON record with per-benchmark wall times and checksums
+    plus the process-global compile/pass counters that prove (or
+    disprove) that a warm start touched the middle end.
     """
     import json
     import time
 
     from .. import trace
     from ..clc.passes import default_opt_level
+    from ..hpl import configure, get_device
     from ..ocl.devicedb import DEFAULT_DEVICES
     from ..ocl.platform import set_platform_devices
 
-    if engine != "vector":
-        set_platform_devices(DEFAULT_DEVICES, engine)
+    configure(cache_dir=cache_dir, opt_level=opt_level)
+    set_platform_devices(DEFAULT_DEVICES, engine)
     problems = _problems_opt_tiny() if tiny else _problems_warm_cache()
     rows = {}
     for name, problem in problems.items():
@@ -434,7 +484,7 @@ def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> None:
     counters = trace.get_registry().snapshot()["counters"]
     prefix, tprefix = "clc.pass_", "clc.pass_seconds_"
     print(json.dumps({
-        "engine": engine,
+        "engine": get_device(TESLA).ocl.engine_name,
         "opt_level": default_opt_level(),
         "benchmarks": rows,
         "exec_wall_seconds": sum(r["exec_wall_seconds"]
@@ -448,38 +498,6 @@ def _opt_pipeline_child(engine: str = "vector", tiny: bool = False) -> None:
         "disk_cache_hits": counters.get("hpl.disk_cache_hits", 0),
         "verified": all(r["verified"] for r in rows.values()),
     }))
-
-
-def _spawn_opt_pipeline_child(cache_dir, opt_level: int,
-                              engine: str = "vector",
-                              tiny: bool = False) -> dict:
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = os.environ.copy()
-    env["HPL_OPT_LEVEL"] = str(opt_level)
-    if cache_dir is not None:
-        env["HPL_CACHE_DIR"] = str(cache_dir)
-    else:                       # keep uncached legs genuinely uncached
-        env.pop("HPL_CACHE_DIR", None)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.benchsuite.runner import _opt_pipeline_child as c; "
-         f"c(engine={engine!r}, tiny={tiny!r})"],
-        env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"opt-pipeline child failed ({proc.returncode}):\n"
-            f"{proc.stderr}")
-    return json.loads(proc.stdout)
 
 
 def run_opt_pipeline(cache_dir=None,
@@ -504,9 +522,9 @@ def run_opt_pipeline(cache_dir=None,
       both bytecode interpreters preserve semantics.
 
     With ``output`` set, the row is written as JSON (the
-    ``BENCH_opt_pipeline.json`` trajectory artifact).
+    ``BENCH_opt_pipeline.json`` trajectory artifact); then the target
+    raises unless all three claims hold.
     """
-    import json
     import math
     import tempfile
 
@@ -514,13 +532,17 @@ def run_opt_pipeline(cache_dir=None,
     if cache_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="hpl-opt-pipeline-")
         cache_dir, cleanup = tmp.name, tmp
+    cached = {"cache_dir": str(cache_dir)}
+    child = "_opt_pipeline_child"
     try:
-        o0_cold = _spawn_opt_pipeline_child(cache_dir, 0)
-        o2_cold = _spawn_opt_pipeline_child(cache_dir, 2)
-        o2_warm = _spawn_opt_pipeline_child(cache_dir, 2)
-        serial_o0 = _spawn_opt_pipeline_child(None, 0, "serial", tiny=True)
-        serial_o2 = _spawn_opt_pipeline_child(None, 2, "serial", tiny=True)
-        vector_o2 = _spawn_opt_pipeline_child(None, 2, "vector", tiny=True)
+        o0_cold = _spawn_child(child, opt_level=0, **cached)
+        o2_cold = _spawn_child(child, opt_level=2, **cached)
+        o2_warm = _spawn_child(child, opt_level=2, **cached)
+        serial_o0 = _spawn_child(child, opt_level=0, engine="serial",
+                                 tiny=True)
+        serial_o2 = _spawn_child(child, opt_level=2, engine="serial",
+                                 tiny=True)
+        vector_o2 = _spawn_child(child, opt_level=2, tiny=True)
     finally:
         if cleanup is not None:
             cleanup.cleanup()
@@ -540,26 +562,6 @@ def run_opt_pipeline(cache_dir=None,
                                 o0_b["checksum"] == o2_b["checksum"]}
     geomean = math.exp(sum(math.log(s) for s in speedups)
                        / len(speedups)) if speedups else 0.0
-
-    warm_pass_runs = sum(o2_warm["pass_runs"].values())
-    if o2_warm["clc_compiles"] or warm_pass_runs:
-        raise AssertionError(
-            "warm -O2 process was not served post-optimization artifacts "
-            f"from disk: {o2_warm['clc_compiles']} compile(s), "
-            f"{warm_pass_runs} pass run(s)")
-    diff_identical = all(
-        serial_o0["benchmarks"][n]["checksum"]
-        == serial_o2["benchmarks"][n]["checksum"]
-        == vector_o2["benchmarks"][n]["checksum"]
-        for n in serial_o0["benchmarks"])
-    if not diff_identical:
-        raise AssertionError(
-            "serial-O0 / serial-O2 / vector-O2 checksums diverge: "
-            + json.dumps({n: [serial_o0["benchmarks"][n]["checksum"],
-                              serial_o2["benchmarks"][n]["checksum"],
-                              vector_o2["benchmarks"][n]["checksum"]]
-                          for n in serial_o0["benchmarks"]}))
-
     row = {
         "benchmarks": benchmarks,
         "geomean_speedup": geomean,
@@ -570,22 +572,29 @@ def run_opt_pipeline(cache_dir=None,
         "cold_pass_runs": o2_cold["pass_runs"],
         "cold_pass_seconds": o2_cold["pass_seconds"],
         "warm_clc_compiles": o2_warm["clc_compiles"],
-        "warm_pass_runs": warm_pass_runs,
+        "warm_pass_runs": sum(o2_warm["pass_runs"].values()),
         "warm_disk_cache_hits": o2_warm["disk_cache_hits"],
         "warm_results_identical": all(
             o2_cold["benchmarks"][n]["checksum"]
             == o2_warm["benchmarks"][n]["checksum"]
             for n in o2_cold["benchmarks"]),
-        "differential_identical": diff_identical,
+        "differential_identical": all(
+            serial_o0["benchmarks"][n]["checksum"]
+            == serial_o2["benchmarks"][n]["checksum"]
+            == vector_o2["benchmarks"][n]["checksum"]
+            for n in serial_o0["benchmarks"]),
         "verified": all(leg["verified"] for leg in
                         (o0_cold, o2_cold, o2_warm,
                          serial_o0, serial_o2, vector_o2)),
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+    gates = [("warm_clc_compiles", "==", 0), ("warm_pass_runs", "==", 0),
+             ("warm_results_identical", "==", True),
+             ("differential_identical", "==", True)]
+    for name, b in benchmarks.items():
+        gates += [(f"benchmarks.{name}.o2_sim_seconds", "<=",
+                   b["o0_sim_seconds"]),
+                  (f"benchmarks.{name}.checksums_identical", "==", True)]
+    return _write_and_gate("opt-pipeline", row, output, gates)
 
 
 # -- engine shoot-out: vector interpreter vs codegen JIT -----------------------
@@ -646,20 +655,20 @@ def run_engine_jit(rounds: int = 7, gate: float | None = 2.0,
     back, so ambient machine load hits both engines alike — the
     per-benchmark speedup is therefore the *median of per-round
     ratios* (vector wall over jit wall, summed ``engine_run`` spans),
-    which a single loaded or lucky round cannot move.  Every round
-    must produce bit-identical output checksums across the two
-    engines (the JIT is a pure execution substrate swap), and with
-    ``gate`` set the JIT must beat the vector interpreter by at least
-    that wall-clock geomean.
+    which a single loaded or lucky round cannot move.
 
     With ``output`` set, the row is written as JSON (the
-    ``BENCH_engine_jit.json`` trajectory artifact).
+    ``BENCH_engine_jit.json`` trajectory artifact); then the target
+    raises unless every round produced bit-identical output checksums
+    across the two engines (the JIT is a pure execution substrate swap)
+    and, with ``gate`` set, the JIT beat the vector interpreter by at
+    least that wall-clock geomean.
     """
-    import json
     import math
 
     benchmarks = {}
     speedups = []
+    identical = True
     for name, (problem, reps) in _problems_engine_jit().items():
         module = _BENCH_MODULES[name]
         best = {"vector": None, "jit": None}
@@ -676,10 +685,7 @@ def run_engine_jit(rounds: int = 7, gate: float | None = 2.0,
                         f"expected [{engine!r}]")
                 if checksum is None:
                     checksum = csum
-                elif csum != checksum:
-                    raise AssertionError(
-                        f"{name}: {engine} checksum {csum} diverges "
-                        f"from {checksum}")
+                identical = identical and csum == checksum
                 walls[engine] = wall
                 if best[engine] is None or wall < best[engine]:
                     best[engine] = wall
@@ -704,19 +710,12 @@ def run_engine_jit(rounds: int = 7, gate: float | None = 2.0,
         "geomean_speedup": geomean,
         "rounds": rounds,
         "gate": gate,
-        "checksums_identical": True,    # asserted per round above
+        "checksums_identical": identical,
     }
-    if gate is not None and geomean < gate:
-        raise AssertionError(
-            f"jit engine geomean speedup {geomean:.2f}x is below the "
-            f"{gate:.1f}x gate: " + json.dumps(
-                {n: round(b["speedup"], 3)
-                 for n, b in benchmarks.items()}))
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+    gates = [("checksums_identical", "==", True)]
+    if gate is not None:
+        gates.append(("geomean_speedup", ">=", gate))
+    return _write_and_gate("engine-jit", row, output, gates)
 
 
 # -- §VII cluster extension: multi-device overlap ------------------------------
@@ -776,6 +775,47 @@ def run_cluster(n: int = 1 << 14, reps: int = 4) -> dict:
     }
 
 
+def _heavy_kernel(iters: int):
+    """The compute-bound partitioned kernel of the cluster-lb,
+    cluster-faults and cluster-resilience targets (the kill-and-resume
+    subprocesses build it the same way: the kernel *name* is part of
+    the checkpoint run id)."""
+    from ..hpl import Float, Int, endfor_, for_, idx
+    from ..hpl import sqrt as hpl_sqrt
+
+    def heavy(y, x, a, offset, count):
+        acc = Float(0.0)
+        j = Int()
+        for_(j, 0, iters)
+        acc.assign(acc + hpl_sqrt(x[idx] * x[idx] + a * acc + 1.0))
+        endfor_()
+        y[idx] = acc
+
+    return heavy
+
+
+def _cluster_data(n: int, seed: int):
+    import numpy as np
+
+    return np.random.default_rng(seed).random(n).astype(np.float32)
+
+
+def _run_heavy(kernel, xs, **options) -> tuple:
+    """``kernel`` over ``xs`` from a fresh runtime on all three devices
+    of the paper's machine, CPU included (the whole point is surviving a
+    heterogeneous mix).  Returns the cluster, the result, the output
+    array and its gathered contents."""
+    from ..hpl import (Cluster, DistributedArray, Float, cluster_eval,
+                       float_, get_devices)
+
+    reset_runtime()
+    cluster = Cluster(get_devices())
+    dx = DistributedArray(float_, len(xs), cluster, data=xs)
+    dy = DistributedArray(float_, len(xs), cluster)
+    result = cluster_eval(kernel, cluster, dy, dx, Float(0.5), **options)
+    return cluster, result, dy, dy.gather()
+
+
 def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
                    output: str | None = "BENCH_cluster_lb.json") -> dict:
     """Heterogeneity-aware load balancing across a skewed cluster.
@@ -793,42 +833,22 @@ def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
     * ``dynamic`` — on-demand HGuided chunks handed to whichever device
       drains first.
 
-    All legs must produce bit-identical gathered results; the makespans
-    come from the simulated per-device timelines.  The row (written as
-    ``BENCH_cluster_lb.json``) carries the weighted/dynamic speedups
-    over uniform, which CI gates at >= 1.3x.
+    The makespans come from the simulated per-device timelines.  The
+    row (written as ``BENCH_cluster_lb.json``) carries the
+    weighted/dynamic speedups over uniform; the target raises unless
+    all legs gathered bit-identical results and both speedups are
+    >= 1.3x.
     """
-    import json
-
     import numpy as np
 
-    from ..hpl import (Cluster, DistributedArray, Float, Int,
-                       WeightedScheduler, calibration, cluster_eval,
-                       endfor_, float_, for_, get_devices, idx,
-                       timeline_of)
-    from ..hpl import sqrt as hpl_sqrt
+    from ..hpl import WeightedScheduler, calibration, timeline_of
 
-    def lb_heavy(y, x, a, offset, count):
-        acc = Float(0.0)
-        j = Int()
-        for_(j, 0, iters)
-        acc.assign(acc + hpl_sqrt(x[idx] * x[idx] + a * acc + 1.0))
-        endfor_()
-        y[idx] = acc
-
-    rng = np.random.default_rng(42)
-    xs = rng.random(n).astype(np.float32)
+    kernel = _heavy_kernel(iters)
+    xs = _cluster_data(n, 42)
 
     def one_leg(schedule):
-        reset_runtime()
-        # all three devices of the paper's machine, CPU included:
-        # the whole point is surviving a heterogeneous mix
-        cluster = Cluster(get_devices())
-        dx = DistributedArray(float_, n, cluster, data=xs)
-        dy = DistributedArray(float_, n, cluster)
-        results = cluster_eval(lb_heavy, cluster, dy, dx, Float(0.5),
-                               schedule=schedule)
-        out = dy.gather()
+        cluster, results, dy, out = _run_heavy(kernel, xs,
+                                               schedule=schedule)
         timeline = timeline_of(results)
         return cluster, {
             "makespan_seconds": timeline.makespan_seconds,
@@ -869,11 +889,11 @@ def run_cluster_lb(n: int = 1 << 14, iters: int = 64,
             and np.array_equal(base_out, calibrated_out)),
         "checksum": uniform["checksum"],
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+    return _write_and_gate("cluster-lb", row, output, [
+        ("results_identical", "==", True),
+        ("speedup_weighted", ">=", 1.3),
+        ("speedup_dynamic", ">=", 1.3),
+    ])
 
 
 def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
@@ -892,37 +912,24 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
     * ``straggler`` — the Quadro runs 8x slow; no recovery, just a
       rebalanced timeline.
 
-    Recovery must be *correct* before it is fast: every leg's gathered
-    result must be bit-identical to the no-fault leg (CI gates on
-    ``results_identical`` and on *recovery* overhead <= 2x — the
-    transient and device-lost legs; the straggler leg is slow hardware,
-    not recovery, so its makespan is reported but not gated).  The
-    retry backoff is set proportional to the simulated kernel times so
-    the measured overhead reflects re-run work, not an arbitrary
-    wall-clock constant.  The row (written as
-    ``BENCH_cluster_faults.json``) records per-leg makespans,
-    retry/requeue counts, and the overhead ratios.
+    Recovery must be *correct* before it is fast: the target raises
+    unless every leg's gathered result is bit-identical to the no-fault
+    leg, the *recovery* overhead (transient and device-lost legs; the
+    straggler leg is slow hardware, not recovery, so its makespan is
+    reported but not gated) is <= 2x, the transient leg retried and the
+    device-lost leg requeued work.  The retry backoff is set
+    proportional to the simulated kernel times so the measured overhead
+    reflects re-run work, not an arbitrary wall-clock constant.  The
+    row (written as ``BENCH_cluster_faults.json``) records per-leg
+    makespans, retry/requeue counts, and the overhead ratios.
     """
-    import json
-
     import numpy as np
 
-    from ..hpl import (Cluster, DistributedArray, Float, Int,
-                       cluster_eval, endfor_, float_, for_, get_devices,
-                       idx, timeline_of)
+    from ..hpl import calibration, timeline_of
     from ..hpl import configure as hpl_configure
-    from ..hpl import sqrt as hpl_sqrt
 
-    def ft_heavy(y, x, a, offset, count):
-        acc = Float(0.0)
-        j = Int()
-        for_(j, 0, iters)
-        acc.assign(acc + hpl_sqrt(x[idx] * x[idx] + a * acc + 1.0))
-        endfor_()
-        y[idx] = acc
-
-    rng = np.random.default_rng(42)
-    xs = rng.random(n).astype(np.float32)
+    kernel = _heavy_kernel(iters)
+    xs = _cluster_data(n, 42)
 
     plans = {
         "none": None,
@@ -933,16 +940,10 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
     }
 
     def one_leg(plan):
-        reset_runtime()
         hpl_configure(faults=plan)
         try:
-            cluster = Cluster(get_devices())
-            dx = DistributedArray(float_, n, cluster, data=xs)
-            dy = DistributedArray(float_, n, cluster)
-            results = cluster_eval(ft_heavy, cluster, dy, dx,
-                                   Float(0.5), schedule="dynamic",
-                                   backoff=1e-7)
-            out = dy.gather()
+            _c, results, _dy, out = _run_heavy(
+                kernel, xs, schedule="dynamic", backoff=1e-7)
         finally:
             hpl_configure(faults=None)
         timeline = timeline_of(results)
@@ -959,6 +960,8 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
             "checksum": float(out.sum()),
         }, out
 
+    # the kernel is shared with other targets: start from no history
+    calibration().reset()
     legs, outs = {}, {}
     for name, plan in plans.items():
         legs[name], outs[name] = one_leg(plan)
@@ -971,7 +974,7 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
         "legs": legs,
         "overhead": {name: leg["makespan_seconds"] / baseline
                      for name, leg in legs.items()},
-        #: the CI gate: worst recovery-path overhead over no-fault
+        #: the gated number: worst recovery-path overhead over no-fault
         "recovery_overhead": max(
             legs["transient"]["makespan_seconds"],
             legs["device-lost"]["makespan_seconds"]) / baseline,
@@ -979,44 +982,21 @@ def run_cluster_faults(n: int = 1 << 14, iters: int = 48,
             np.array_equal(base, outs[name]) for name in plans)),
         "checksum": legs["none"]["checksum"],
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+    return _write_and_gate("cluster-faults", row, output, [
+        ("results_identical", "==", True),
+        ("recovery_overhead", "<=", 2.0),
+        ("legs.transient.retries", ">=", 1),
+        ("legs.device-lost.requeued_items", ">=", 1),
+    ])
 
 
-def _make_res_kernel(iters: int):
-    """The compute-bound partitioned kernel shared by the resilience
-    legs and the kill-and-resume subprocesses (the kernel *name* is
-    part of the checkpoint run id, so both sides must build it the
-    same way)."""
-    from ..hpl import Float, Int, endfor_, for_, idx
-    from ..hpl import sqrt as hpl_sqrt
-
-    def res_heavy(y, x, a, offset, count):
-        acc = Float(0.0)
-        j = Int()
-        for_(j, 0, iters)
-        acc.assign(acc + hpl_sqrt(x[idx] * x[idx] + a * acc + 1.0))
-        endfor_()
-        y[idx] = acc
-
-    return res_heavy
-
-
-def _resilience_data(n: int):
-    import numpy as np
-
-    return np.random.default_rng(7).random(n).astype(np.float32)
-
-
-def _resilience_child() -> None:
+def _resilience_child(mode: str, ckpt_dir: str, n: int,
+                      iters: int) -> None:
     """Kill-and-resume subprocess body (cluster-resilience target).
 
-    ``HPL_RESILIENCE_MODE=kill`` SIGKILLs the process at its third
-    checkpoint snapshot — no cleanup, no atexit, exactly a crashed run;
-    ``resume`` restores the snapshot, finishes the work, and reports
+    ``mode="kill"`` SIGKILLs the process at its third checkpoint
+    snapshot — no cleanup, no atexit, exactly a crashed run;
+    ``"resume"`` restores the snapshot, finishes the work, and reports
     the gathered result's digest on stdout.
     """
     import hashlib
@@ -1025,14 +1005,7 @@ def _resilience_child() -> None:
     import signal
     import sys
 
-    from ..hpl import (Cluster, DistributedArray, Float, cluster_eval,
-                       float_, get_devices)
     from ..hpl import checkpoint as ckpt
-
-    mode = os.environ["HPL_RESILIENCE_MODE"]
-    ckpt_dir = os.environ["HPL_RESILIENCE_CKPT"]
-    n = int(os.environ["HPL_RESILIENCE_N"])
-    iters = int(os.environ["HPL_RESILIENCE_ITERS"])
 
     if mode == "kill":
         original = ckpt.CheckpointStore.save
@@ -1046,45 +1019,13 @@ def _resilience_child() -> None:
 
         ckpt.CheckpointStore.save = killing_save
 
-    kernel = _make_res_kernel(iters)
-    xs = _resilience_data(n)
-    cluster = Cluster(get_devices())
-    dx = DistributedArray(float_, n, cluster, data=xs)
-    dy = DistributedArray(float_, n, cluster)
-    result = cluster_eval(kernel, cluster, dy, dx, Float(0.5),
-                          schedule="dynamic", checkpoint=ckpt_dir,
-                          checkpoint_every=1,
-                          resume=(mode == "resume"))
-    out = dy.gather()
+    _c, result, _dy, out = _run_heavy(
+        _heavy_kernel(iters), _cluster_data(n, 7), schedule="dynamic",
+        checkpoint=ckpt_dir, checkpoint_every=1, resume=(mode == "resume"))
     json.dump({"digest": hashlib.sha256(out.tobytes()).hexdigest(),
                "checksum": float(out.sum()),
                "resumed_blocks": result.failures.resumed_blocks,
                "launches": len(result)}, sys.stdout)
-
-
-def _spawn_resilience_child(mode: str, ckpt_dir: str, n: int,
-                            iters: int):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    env = os.environ.copy()
-    env.pop("HPL_FAULTS", None)     # the children run fault-free
-    env.update({"HPL_RESILIENCE_MODE": mode,
-                "HPL_RESILIENCE_CKPT": str(ckpt_dir),
-                "HPL_RESILIENCE_N": str(n),
-                "HPL_RESILIENCE_ITERS": str(iters)})
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from repro.benchsuite.runner import _resilience_child as c; "
-         "c()"],
-        env=env, capture_output=True, text=True)
 
 
 def run_cluster_resilience(
@@ -1111,31 +1052,25 @@ def run_cluster_resilience(
     Each timed leg takes one unmeasured calibration warm-up iteration
     (the watchdog is predictive — it speculates off the calibrated
     throughput model) and then averages ``reps`` measured iterations.
-    CI gates on ``straggler_overhead_speculated <= 1.25``, on the
-    unmitigated leg actually showing a cliff, and on every leg's
-    digest matching the no-fault leg bit-for-bit.
+    The target raises unless every leg's digest matches the no-fault
+    leg bit-for-bit, the unmitigated leg actually shows a cliff
+    (>= 2x), ``straggler_overhead_speculated <= 1.25``, the watchdog
+    won at least once and the resume restored at least one block.
     """
     import hashlib
-    import json
-    import signal as _signal
+    import signal
     import tempfile
 
-    from ..hpl import (Cluster, DistributedArray, Float, calibration,
-                       cluster_eval, float_, get_devices, timeline_of)
+    from ..hpl import calibration, timeline_of
     from ..hpl import configure as hpl_configure
 
-    kernel = _make_res_kernel(iters)
-    xs = _resilience_data(n)
+    kernel = _heavy_kernel(iters)
+    xs = _cluster_data(n, 7)
     straggler = "device=Quadro kind=slow factor=1024; seed=5"
 
     def one_iter(watchdog):
-        reset_runtime()
-        cluster = Cluster(get_devices())
-        dx = DistributedArray(float_, n, cluster, data=xs)
-        dy = DistributedArray(float_, n, cluster)
-        result = cluster_eval(kernel, cluster, dy, dx, Float(0.5),
-                              schedule="dynamic", watchdog=watchdog)
-        out = dy.gather()
+        _c, result, _dy, out = _run_heavy(kernel, xs, schedule="dynamic",
+                                          watchdog=watchdog)
         return (timeline_of(result).makespan_seconds,
                 result.failures, out)
 
@@ -1166,17 +1101,10 @@ def run_cluster_resilience(
 
     with tempfile.TemporaryDirectory(
             prefix="hpl-resilience-ckpt-") as ckpt_dir:
-        first = _spawn_resilience_child("kill", ckpt_dir, n, iters)
-        if first.returncode != -_signal.SIGKILL:
-            raise RuntimeError(
-                f"kill-phase child should die by SIGKILL, exited "
-                f"{first.returncode}:\n{first.stderr}")
-        second = _spawn_resilience_child("resume", ckpt_dir, n, iters)
-        if second.returncode != 0:
-            raise RuntimeError(
-                f"resume child failed ({second.returncode}):\n"
-                f"{second.stderr}")
-        resumed = json.loads(second.stdout)
+        args = {"ckpt_dir": ckpt_dir, "n": n, "iters": iters}
+        _spawn_child("_resilience_child", returncode=-signal.SIGKILL,
+                     mode="kill", **args)
+        resumed = _spawn_child("_resilience_child", mode="resume", **args)
     legs["kill-and-resume"] = {
         "resumed_blocks": resumed["resumed_blocks"],
         "launches_after_resume": resumed["launches"],
@@ -1205,11 +1133,14 @@ def run_cluster_resilience(
             leg_row["digest"] == digest0 for leg_row in legs.values())),
         "checksum": legs["no-fault"]["checksum"],
     }
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(row, fh, indent=2)
-        row["output"] = output
-    return row
+    return _write_and_gate("cluster-resilience", row, output, [
+        ("results_identical", "==", True),
+        ("resume_bit_identical", "==", True),
+        ("straggler_overhead_unmitigated", ">=", 2.0),
+        ("straggler_overhead_speculated", "<=", 1.25),
+        ("speculation_wins", ">=", 1),
+        ("resumed_blocks", ">=", 1),
+    ])
 
 
 # -- command-line entry point -------------------------------------------------

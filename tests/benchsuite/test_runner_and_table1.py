@@ -1,7 +1,10 @@
 """Experiment runner smoke tests and Table I standalone programs."""
 
+import json
+import re
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +121,75 @@ class TestEngineJit:
             lambda: {"Floyd-Warshall": (floyd.floyd_problem(64, n_run=4), 2)})
         with pytest.raises(AssertionError, match="gate"):
             runner.run_engine_jit(rounds=1, gate=1e9, output=None)
+
+    def test_engine_jit_writes_artifact_before_gate_fires(self, monkeypatch,
+                                                          tmp_path):
+        from repro.benchsuite import floyd
+
+        monkeypatch.setattr(
+            runner, "_problems_engine_jit",
+            lambda: {"Floyd-Warshall": (floyd.floyd_problem(64, n_run=4), 2)})
+        out = tmp_path / "engine_jit.json"
+        with pytest.raises(AssertionError, match="geomean_speedup"):
+            runner.run_engine_jit(rounds=1, gate=1e9, output=str(out))
+        assert json.loads(out.read_text())["gate"] == 1e9
+
+
+class TestClusterTargetGates:
+    """The cluster targets enforce their own gates at default sizes and
+    write their artifact; a run that misses a gate raises by name."""
+
+    def test_cluster_lb(self, tmp_path):
+        out = tmp_path / "lb.json"
+        row = runner.run_cluster_lb(output=str(out))
+        assert row["speedup_weighted"] >= 1.3
+        assert row["speedup_dynamic"] >= 1.3
+        assert json.loads(out.read_text())["results_identical"]
+
+    def test_cluster_faults(self, tmp_path):
+        out = tmp_path / "faults.json"
+        row = runner.run_cluster_faults(output=str(out))
+        assert row["recovery_overhead"] <= 2.0
+        assert row["legs"]["transient"]["retries"] >= 1
+        assert json.loads(out.read_text())["results_identical"]
+
+    def test_cluster_resilience(self, tmp_path):
+        out = tmp_path / "resilience.json"
+        row = runner.run_cluster_resilience(output=str(out))
+        assert row["resume_bit_identical"] and row["resumed_blocks"] >= 1
+        assert json.loads(out.read_text())["results_identical"]
+
+    def test_lb_gate_fires_when_balancing_cannot_pay(self):
+        """One iteration over 1024 items is too little work for the
+        weighted/dynamic schedules to beat the uniform split."""
+        with pytest.raises(AssertionError, match="speedup_dynamic"):
+            runner.run_cluster_lb(n=1024, iters=1, output=None)
+
+
+class TestSubprocessLegs:
+    def test_child_ignores_callers_hpl_settings(self, monkeypatch):
+        """A measured child runs on the engine its record names and
+        under no fault plan, whatever ``HPL_*`` the caller has set."""
+        monkeypatch.setenv("HPL_ENGINE", "jit")
+        monkeypatch.setenv("HPL_FAULTS", "device=* kind=lost at=0")
+        record = runner._spawn_child("_opt_pipeline_child", opt_level=2,
+                                     engine="vector", tiny=True)
+        assert record["engine"] == "vector"
+        assert record["opt_level"] == 2
+        assert record["verified"]
+
+
+class TestCiWorkflow:
+    """Text-only checks of the CI workflow (no YAML parser needed)."""
+
+    CI = Path(__file__).resolve().parents[2] / ".github/workflows/ci.yml"
+
+    def test_no_inline_python(self):
+        assert "python - <<" not in self.CI.read_text()
+
+    def test_matrix_runs_every_gated_target(self):
+        targets = re.findall(r"\btarget:\s*([\w-]+)", self.CI.read_text())
+        assert set(targets) <= set(runner._cli_targets())
+        assert set(targets) == {"warm-cache", "opt-pipeline", "engine-jit",
+                                "cluster-lb", "cluster-faults",
+                                "cluster-resilience"}
