@@ -18,10 +18,12 @@ mechanism behind Figure 6's shrinking relative overhead.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import ocl
 from ..ocl import CostCounters, DeviceSpec, kernel_time
 
 
@@ -70,6 +72,41 @@ class BenchRun:
         if include_transfers:
             total += self.transfer_seconds
         return total
+
+
+def opencl_setup(device_name: str, source: str, kernel_name: str,
+                 label: str, needs_fp64: bool = False) -> tuple:
+    """The set-up every OpenCL host program repeats: take the first
+    platform's first device whose name contains ``device_name``, create
+    a context and a profiling queue, build ``source`` (timed; a failed
+    build raises with its build log, like real host code) and create
+    ``kernel_name``.  ``label`` names the benchmark in errors.
+
+    Returns ``(device, context, queue, kernel, build_seconds)``.
+    """
+    platforms = ocl.get_platforms()
+    if not platforms:
+        raise RuntimeError("no OpenCL platforms found")
+    devices = [d for d in platforms[0].get_devices()
+               if device_name.lower() in d.name.lower()]
+    if not devices:
+        raise RuntimeError(f"no device matching {device_name!r}")
+    device = devices[0]
+    if needs_fp64 and not device.supports_fp64:
+        raise RuntimeError(f"{device.name} lacks cl_khr_fp64; {label} "
+                           "needs double precision")
+    context = ocl.Context([device])
+    queue = ocl.CommandQueue(context, device, profiling=True)
+    t0 = time.perf_counter()
+    program = ocl.Program(context, source)
+    try:
+        program.build()
+    except Exception as exc:
+        raise RuntimeError(f"{label} kernel build failed:\n"
+                           f"{program.build_log}") from exc
+    build_seconds = time.perf_counter() - t0
+    return (device, context, queue, program.create_kernel(kernel_name),
+            build_seconds)
 
 
 def extrapolated_seconds(counters: CostCounters, spec: DeviceSpec,

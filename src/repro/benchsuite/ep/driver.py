@@ -10,7 +10,7 @@ from ...hpl import (Array, Double, Int, Long, cast, double_, endfor_,
                     idx, log, long_, min_, sqrt, trunc, while_)
 from ...hpl import eval as hpl_eval
 from ...ocl import XEON_SERIAL, kernel_time
-from ..common import BenchRun, Problem, extrapolated_seconds
+from ..common import BenchRun, Problem, extrapolated_seconds, opencl_setup
 from ..datasets import EP_A, EP_CLASSES, EP_SEED, ep_reference
 from .kernels import EP_OPENCL_SOURCE
 
@@ -48,39 +48,13 @@ def ep_problem(ep_class: str = "W", shift: int | None = None) -> Problem:
 
 def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     """The way an OpenCL programmer runs EP: explicit everything."""
-    import time
-
     nk = problem.params["nk"]
     if nk < 1:
         raise ValueError("problem too small for the work-item count")
 
-    # 1. platform/device discovery
-    platforms = ocl.get_platforms()
-    if not platforms:
-        raise RuntimeError("no OpenCL platforms found")
-    devices = [d for d in platforms[0].get_devices()
-               if device_name.lower() in d.name.lower()]
-    if not devices:
-        raise RuntimeError(f"no device matching {device_name!r}")
-    device = devices[0]
-    if not device.supports_fp64:
-        raise RuntimeError(f"{device.name} lacks cl_khr_fp64; EP needs "
-                           "double precision")
-
-    # 2. context / queue
-    context = ocl.Context([device])
-    queue = ocl.CommandQueue(context, device, profiling=True)
-
-    # 3. compile the kernel, keeping the build log on failure
-    t0 = time.perf_counter()
-    program = ocl.Program(context, EP_OPENCL_SOURCE)
-    try:
-        program.build()
-    except Exception as exc:   # show the build log, like real host code
-        raise RuntimeError(f"EP kernel build failed:\n"
-                           f"{program.build_log}") from exc
-    build_seconds = time.perf_counter() - t0
-    kernel = program.create_kernel("ep")
+    # 1-3. device discovery, context/queue, timed build, kernel
+    device, context, queue, kernel, build_seconds = opencl_setup(
+        device_name, EP_OPENCL_SOURCE, "ep", "EP", needs_fp64=True)
 
     # 4. allocate device buffers
     mf = ocl.mem_flags

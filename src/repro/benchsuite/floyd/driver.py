@@ -8,15 +8,13 @@ per-cell work.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ... import ocl
 from ...hpl import Array, Int, endif_, idx, idy, if_, int_
 from ...hpl import eval as hpl_eval
-from ..common import BenchRun, Problem, extrapolated_seconds, \
-    serial_time_from_counters
+from ..common import (BenchRun, Problem, extrapolated_seconds,
+                      opencl_setup, serial_time_from_counters)
 from ..datasets import floyd_warshall_reference, random_graph_distances
 from .kernels import FLOYD_OPENCL_SOURCE
 
@@ -46,26 +44,8 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     n = problem.params["n_run"]
     dist_host = problem.arrays["dist"].copy()
 
-    platforms = ocl.get_platforms()
-    if not platforms:
-        raise RuntimeError("no OpenCL platforms found")
-    candidates = [d for d in platforms[0].get_devices()
-                  if device_name.lower() in d.name.lower()]
-    if not candidates:
-        raise RuntimeError(f"no device matching {device_name!r}")
-    device = candidates[0]
-    context = ocl.Context([device])
-    queue = ocl.CommandQueue(context, device, profiling=True)
-
-    t0 = time.perf_counter()
-    program = ocl.Program(context, FLOYD_OPENCL_SOURCE)
-    try:
-        program.build()
-    except Exception as exc:
-        raise RuntimeError(f"floyd build failed:\n{program.build_log}") \
-            from exc
-    build_seconds = time.perf_counter() - t0
-    kernel = program.create_kernel("floydWarshallPass")
+    device, context, queue, kernel, build_seconds = opencl_setup(
+        device_name, FLOYD_OPENCL_SOURCE, "floydWarshallPass", "floyd")
 
     mf = ocl.mem_flags
     dist_buf = ocl.Buffer(context, mf.READ_WRITE, size=dist_host.nbytes)

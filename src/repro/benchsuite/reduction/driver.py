@@ -6,8 +6,6 @@ and extrapolate counters linearly (the kernel is a pure streaming sum).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ... import ocl
@@ -15,8 +13,8 @@ from ...hpl import (LOCAL, Array, Float, Int, Local, barrier, endif_,
                     endwhile_, float_, for_, endfor_, gidx, if_, idx,
                     int_, lidx, lszx, szx, while_)
 from ...hpl import eval as hpl_eval
-from ..common import BenchRun, Problem, extrapolated_seconds, \
-    serial_time_from_counters
+from ..common import (BenchRun, Problem, extrapolated_seconds,
+                      opencl_setup, serial_time_from_counters)
 from ..datasets import random_vector
 from .kernels import REDUCTION_OPENCL_SOURCE
 
@@ -44,26 +42,8 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     n = problem.params["n_run"]
     data = problem.arrays["data"]
 
-    platforms = ocl.get_platforms()
-    if not platforms:
-        raise RuntimeError("no OpenCL platforms found")
-    candidates = [d for d in platforms[0].get_devices()
-                  if device_name.lower() in d.name.lower()]
-    if not candidates:
-        raise RuntimeError(f"no device matching {device_name!r}")
-    device = candidates[0]
-    context = ocl.Context([device])
-    queue = ocl.CommandQueue(context, device, profiling=True)
-
-    t0 = time.perf_counter()
-    program = ocl.Program(context, REDUCTION_OPENCL_SOURCE)
-    try:
-        program.build()
-    except Exception as exc:
-        raise RuntimeError(
-            f"reduction build failed:\n{program.build_log}") from exc
-    build_seconds = time.perf_counter() - t0
-    kernel = program.create_kernel("reduce")
+    device, context, queue, kernel, build_seconds = opencl_setup(
+        device_name, REDUCTION_OPENCL_SOURCE, "reduce", "reduction")
 
     mf = ocl.mem_flags
     in_buf = ocl.Buffer(context, mf.READ_ONLY, size=data.nbytes)

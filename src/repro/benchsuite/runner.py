@@ -518,8 +518,9 @@ def run_opt_pipeline(cache_dir=None,
       passes (the cached artifact already holds the lowered bytecode)
       and reproduce the cold checksums exactly.
     * **correctness** — serial-O0, serial-O2 and vector-O2 runs of tiny
-      instances must produce bit-identical checksums, so every pass and
-      both bytecode interpreters preserve semantics.
+      instances must produce bit-identical checksums: serial walks the
+      unoptimized and the optimized tree, vector runs the lowered
+      bytecode, so every pass and the lowering preserve semantics.
 
     With ``output`` set, the row is written as JSON (the
     ``BENCH_opt_pipeline.json`` trajectory artifact); then the target

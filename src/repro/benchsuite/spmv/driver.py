@@ -8,16 +8,14 @@ density is fixed).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ... import ocl
 from ...hpl import (LOCAL, Array, Float, Int, Local, barrier, endfor_,
                     endif_, float_, for_, gidx, if_, int_, lidx)
 from ...hpl import eval as hpl_eval
-from ..common import BenchRun, Problem, extrapolated_seconds, \
-    serial_time_from_counters
+from ..common import (BenchRun, Problem, extrapolated_seconds,
+                      opencl_setup, serial_time_from_counters)
 from ..datasets import csr_matvec_reference, random_csr, random_vector
 from .kernels import SPMV_OPENCL_SOURCE
 
@@ -55,26 +53,8 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     rowptr = problem.arrays["rowptr"]
     x = problem.arrays["x"]
 
-    platforms = ocl.get_platforms()
-    if not platforms:
-        raise RuntimeError("no OpenCL platforms found")
-    candidates = [d for d in platforms[0].get_devices()
-                  if device_name.lower() in d.name.lower()]
-    if not candidates:
-        raise RuntimeError(f"no device matching {device_name!r}")
-    device = candidates[0]
-    context = ocl.Context([device])
-    queue = ocl.CommandQueue(context, device, profiling=True)
-
-    t0 = time.perf_counter()
-    program = ocl.Program(context, SPMV_OPENCL_SOURCE)
-    try:
-        program.build()
-    except Exception as exc:
-        raise RuntimeError(f"spmv build failed:\n{program.build_log}") \
-            from exc
-    build_seconds = time.perf_counter() - t0
-    kernel = program.create_kernel("spmv")
+    device, context, queue, kernel, build_seconds = opencl_setup(
+        device_name, SPMV_OPENCL_SOURCE, "spmv", "spmv")
 
     mf = ocl.mem_flags
     a_buf = ocl.Buffer(context, mf.READ_ONLY, size=values.nbytes)

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ... import ocl
 from ...hpl import Array, Int, barrier, float_, gidx, gidy, int_, lidx, \
     lidy, idx, idy, LOCAL, Local
 from ...hpl import eval as hpl_eval
-from ..common import BenchRun, Problem, extrapolated_seconds, \
-    serial_time_from_counters
+from ..common import (BenchRun, Problem, extrapolated_seconds,
+                      opencl_setup, serial_time_from_counters)
 from ..datasets import random_matrix
 from .kernels import TRANSPOSE_OPENCL_SOURCE
 
@@ -43,26 +41,8 @@ def run_opencl(problem: Problem, device_name: str = "Tesla") -> BenchRun:
     n = problem.params["n_run"]
     src_host = problem.arrays["input"]
 
-    platforms = ocl.get_platforms()
-    if not platforms:
-        raise RuntimeError("no OpenCL platforms found")
-    candidates = [d for d in platforms[0].get_devices()
-                  if device_name.lower() in d.name.lower()]
-    if not candidates:
-        raise RuntimeError(f"no device matching {device_name!r}")
-    device = candidates[0]
-    context = ocl.Context([device])
-    queue = ocl.CommandQueue(context, device, profiling=True)
-
-    t0 = time.perf_counter()
-    program = ocl.Program(context, TRANSPOSE_OPENCL_SOURCE)
-    try:
-        program.build()
-    except Exception as exc:
-        raise RuntimeError(
-            f"transpose build failed:\n{program.build_log}") from exc
-    build_seconds = time.perf_counter() - t0
-    kernel = program.create_kernel("matrixTranspose")
+    device, context, queue, kernel, build_seconds = opencl_setup(
+        device_name, TRANSPOSE_OPENCL_SOURCE, "matrixTranspose", "transpose")
 
     mf = ocl.mem_flags
     in_buf = ocl.Buffer(context, mf.READ_ONLY, size=src_host.nbytes)

@@ -49,4 +49,5 @@ def compile_source(source: str, options: str = "",
         with trace.span("sema", category="clc"):
             program = analyze(unit, filename)
     program.source = source
+    program.options = options
     return program

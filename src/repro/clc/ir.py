@@ -23,7 +23,9 @@ from .types import (SCALAR_TYPES, VOID, ArrayType, CLType, PointerType,
 #: cache treats as a miss (forcing a clean recompile) instead of a crash.
 #: v2: ProgramIR gained ``opt_level`` and ``bytecode`` (the middle-end's
 #: post-optimization artifact, see :mod:`repro.clc.lower`).
-IR_SCHEMA_VERSION = 2
+#: v3: ProgramIR gained ``options`` (the build options it was compiled
+#: with), which keys the JIT's generated-source cache.
+IR_SCHEMA_VERSION = 3
 
 #: magic prefix identifying a serialized ProgramIR blob
 _IR_MAGIC = b"HPLIR"
@@ -218,6 +220,9 @@ class ProgramIR:
     """A compiled translation unit: kernels plus helper functions."""
     functions: dict = field(default_factory=dict)   # name -> Function
     source: str = ""
+    #: build options ``source`` was compiled with (``-D`` macros among
+    #: them), so ``source`` alone does not determine the program
+    options: str = ""
     #: opt level the middle-end ran at (0 = no rewriting pass)
     opt_level: int = 0
     #: :class:`repro.clc.lower.ProgramBytecode`; None until optimized

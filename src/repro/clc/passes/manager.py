@@ -53,12 +53,17 @@ def default_opt_level() -> int:
     if _opt_level_override is not None:
         return _opt_level_override
     env = os.environ.get("HPL_OPT_LEVEL")
-    if env:
-        try:
-            return _clamp(int(env))
-        except ValueError:
-            pass
-    return DEFAULT_OPT_LEVEL
+    if not env:
+        return DEFAULT_OPT_LEVEL
+    try:
+        level = int(env)
+    except ValueError:
+        level = -1
+    if level < 0:
+        raise ValueError(f"HPL_OPT_LEVEL={env!r} is not an opt level; "
+                         "expected a non-negative integer such as 0, 1 "
+                         "or 2")
+    return _clamp(level)
 
 
 def resolve_opt_level(options: str = "") -> int:

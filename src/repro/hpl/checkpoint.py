@@ -26,34 +26,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 import numpy as np
 
 from ..errors import CheckpointError
+from .diskcache import atomic_write
 
 #: bump when the manifest schema changes; older snapshots are rejected
 #: (a resumed run recomputes from scratch rather than misreading them)
 FORMAT_VERSION = 1
 
 MANIFEST = "MANIFEST.json"
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` via temp-file + rename (atomic on
-    POSIX within one filesystem, which same-directory guarantees)."""
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class CheckpointStore:
@@ -90,7 +73,7 @@ class CheckpointStore:
             sha = hashlib.sha256(data).hexdigest()
             path = self._blob_path(sha)
             if not os.path.exists(path):
-                _atomic_write(path, data)
+                atomic_write(path, data)
                 written += len(data)
             blobs.append({"sha256": sha, "dtype": str(arr.dtype),
                           "size": int(arr.size)})
@@ -101,7 +84,7 @@ class CheckpointStore:
             "blobs": blobs,
         }
         payload = json.dumps(manifest, sort_keys=True).encode()
-        _atomic_write(os.path.join(self.directory, MANIFEST), payload)
+        atomic_write(os.path.join(self.directory, MANIFEST), payload)
         return written + len(payload)
 
     def load(self, run_id: dict):

@@ -64,6 +64,24 @@ _ENTRY_SUFFIX = ".irbin"
 _SOURCE_SUFFIX = ".jitsrc"
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and ``os.replace`` (atomic on POSIX within one file
+    system), so readers see the old file or the new one, never a torn
+    one.  The temporary name is unique per process and thread, and its
+    ``.<name>...tmp`` shape is what :meth:`KernelDiskCache.purge` sweeps
+    when a killed writer leaves one behind."""
+    path = Path(path)
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+
+
 def cache_key(preprocessed_source: str, options: str = "",
               device_caps=(), opt_signature: str = "",
               engine_signature: str = "") -> str:
@@ -187,18 +205,14 @@ class KernelDiskCache:
         with trace.span("disk_cache_store", category="hpl",
                         key=key[:12]) as sp:
             blob = program.to_bytes()
-            tmp = self.path / (
-                f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-            try:
-                tmp.write_bytes(blob)
-                os.replace(tmp, self._entry_path(key))
-            finally:
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-            self._registry().counter("hpl.disk_cache_bytes").inc(len(blob))
+            self._store(self._entry_path(key), blob)
             sp.set_attr("bytes", len(blob))
-            with self._locked():
-                self._evict_lru()
+
+    def _store(self, path: Path, data: bytes) -> None:
+        atomic_write(path, data)
+        self._registry().counter("hpl.disk_cache_bytes").inc(len(data))
+        with self._locked():
+            self._evict_lru()
 
     # -- generated-source sidecars (codegen backends) ----------------------
 
@@ -221,16 +235,9 @@ class KernelDiskCache:
         return text
 
     def put_source(self, key: str, text: str) -> None:
-        """Store generated source under ``key`` atomically."""
-        tmp = self.path / (
-            f".{key}.{os.getpid()}.{threading.get_ident()}.src.tmp")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, self._source_path(key))
-        finally:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-        self._registry().counter("hpl.disk_cache_bytes").inc(len(text))
+        """Store generated source under ``key`` atomically, then evict
+        LRU: sidecars count against ``max_bytes`` like entries do."""
+        self._store(self._source_path(key), text.encode("utf-8"))
 
     def _evict_lru(self) -> None:
         """Remove oldest entries until the store fits the cap.
@@ -375,10 +382,16 @@ def active_cache() -> KernelDiskCache | None:
 
 def _env_max_bytes() -> int:
     raw = os.environ.get(ENV_CACHE_MAX_BYTES)
-    try:
-        return int(raw) if raw else DEFAULT_MAX_BYTES
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_BYTES
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{ENV_CACHE_MAX_BYTES}={raw!r} is not a positive "
+                         "integer number of bytes")
+    return value
 
 
 # -- command-line interface --------------------------------------------------------

@@ -20,10 +20,10 @@ on every instruction.
 
 Generated module source is memoized in-process per program and cached on
 disk next to the ``ProgramIR`` entries (``.jitsrc`` sidecars in
-:mod:`repro.hpl.diskcache`), keyed by program source, bytecode/pipeline
-versions and :data:`JIT_CODEGEN_VERSION`.  When codegen fails for any
-reason the engine silently falls back to the inherited interpreter, so
-``jit`` is always safe to select.
+:mod:`repro.hpl.diskcache`), keyed by program source, build options,
+bytecode/pipeline versions and :data:`JIT_CODEGEN_VERSION`.  When
+codegen fails for any reason the engine silently falls back to the
+inherited interpreter, so ``jit`` is always safe to select.
 """
 
 from __future__ import annotations
@@ -88,16 +88,23 @@ def clear_cache() -> None:
     _source_memo.clear()
 
 
-def source_cache_key(program_source: str, opt_level, pipeline_version
-                     ) -> str | None:
+def source_cache_key(program_source: str, opt_level, pipeline_version,
+                     options: str = "") -> str | None:
     """Disk-cache key for a program's generated module, or ``None`` when
-    the program carries no source to key by."""
+    the program carries no source to key by.
+
+    ``program_source`` is the text before preprocessing, so the build
+    ``options`` (``-D`` macros) are part of the key; builds without
+    options keep the key they always had."""
     if not program_source:
         return None
     h = hashlib.sha256()
-    for part in ("hpl-jit-codegen", str(JIT_CODEGEN_VERSION),
-                 str(BYTECODE_VERSION), str(opt_level),
-                 str(pipeline_version), program_source):
+    parts = ["hpl-jit-codegen", str(JIT_CODEGEN_VERSION),
+             str(BYTECODE_VERSION), str(opt_level), str(pipeline_version),
+             program_source]
+    if options:
+        parts.append(options)
+    for part in parts:
         h.update(part.encode("utf-8", "replace"))
         h.update(b"\x00")
     return h.hexdigest()
@@ -822,7 +829,8 @@ class JitEngine(VectorEngine):
     def _module_source(self, pbc) -> str:
         key = source_cache_key(getattr(self.program, "source", ""),
                                getattr(pbc, "opt_level", None),
-                               getattr(pbc, "pipeline_version", None))
+                               getattr(pbc, "pipeline_version", None),
+                               getattr(self.program, "options", ""))
         if key is not None:
             src = _source_memo.get(key)
             if src is not None:

@@ -4,7 +4,8 @@
 nested ifs and for loops, selects, barriers with __local staging) are
 executed six ways — serial engine at -O0 (tree interpreter, no
 rewriting pass: the oracle independent of the lowering), serial engine
-at -O2 (optimized bytecode), vector engine at -O0 (unoptimized bytecode)
+at -O2 (the tree the passes optimized, still never lowered), vector
+engine at -O0 (unoptimized bytecode)
 and -O2, and the codegen JIT engine at -O0 (inherited bytecode
 interpreter) and -O2 (generated NumPy code) — and every output buffer
 must match **bit for bit**.  Any unsound fold, wrong strength
@@ -306,3 +307,18 @@ class TestPostOptCosts:
         assert c2.global_stores == c0.global_stores
         assert c2.global_load_bytes == c0.global_load_bytes
         assert c2.global_store_bytes == c0.global_store_bytes
+
+
+class TestOptLevelEnv:
+    def test_invalid_env_opt_level_raises(self, monkeypatch):
+        """``HPL_OPT_LEVEL`` must name an opt level; anything else is an
+        error naming the variable and its value, never a silent -O2."""
+        from repro.clc.passes.manager import default_opt_level
+
+        monkeypatch.setenv("HPL_OPT_LEVEL", "1")
+        assert default_opt_level() == 1
+        for value in ("fast", "-1"):
+            monkeypatch.setenv("HPL_OPT_LEVEL", value)
+            with pytest.raises(ValueError,
+                               match=f"HPL_OPT_LEVEL='{value}'"):
+                default_opt_level()

@@ -161,6 +161,20 @@ class TestKernelDiskCache:
         kept = {k for k, _s, _m in cache.entries()}
         assert a in kept and b not in kept
 
+    def test_source_sidecars_are_evicted_to_the_cap(self, tmp_path):
+        """``put_source`` runs the same store-then-evict path as
+        ``put``: ``.jitsrc`` sidecars never push the store past
+        ``max_bytes``."""
+        text = "x" * 100
+        cache = KernelDiskCache(tmp_path, max_bytes=250)
+        keys = [f"{i:064x}" for i in range(5)]
+        for i, key in enumerate(keys):
+            cache.put_source(key, text)
+            os.utime(cache._source_path(key), (i, i))  # deterministic ages
+        kept = sorted(p.stem for p in tmp_path.glob("*.jitsrc"))
+        assert kept == keys[3:]              # three oldest evicted
+        assert cache.get_source(keys[-1]) == text
+
     def test_purge_and_stats(self, tmp_path):
         cache = KernelDiskCache(tmp_path)
         ir = compile_source(SOURCE)
@@ -306,9 +320,10 @@ class TestStaleO0Artifacts:
             _build_key(disk_cache, device, options, opt_signature(0)))
         assert rebuilt is not None and rebuilt.bytecode is not None
 
-    @pytest.mark.parametrize("engine", ["vector", "jit", "serial"])
-    @pytest.mark.parametrize("damage", ["stripped", "foreign-version"])
-    def test_program_without_usable_bytecode_raises(self, engine, damage):
+    @staticmethod
+    def _damaged_launch(engine, damage):
+        """Build ``SOURCE`` at -O2, damage its bytecode, and return a
+        launch of ``scale`` by 2 over ``y = 0..63`` plus the buffer."""
         device = cl.Device(cl.TESLA_C2050, engine)
         ctx = cl.Context([device])
         queue = cl.CommandQueue(ctx, device)
@@ -318,12 +333,33 @@ class TestStaleO0Artifacts:
         else:
             program.ir.bytecode.version += 1
         kernel = program.create_kernel("scale")
-        buf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=64 * 4)
+        y = np.arange(64, dtype=np.float32)
+        buf = cl.Buffer(ctx, cl.mem_flags.READ_WRITE, size=y.nbytes)
+        queue.enqueue_write_buffer(buf, y)
         kernel.set_arg(0, buf)
         kernel.set_arg(1, np.float32(2.0))
-        with pytest.raises(KernelLaunchError, match="'scale'"):
+
+        def launch():
             queue.enqueue_nd_range_kernel(kernel, (64,))
+            queue.enqueue_read_buffer(buf, y)
             queue.finish()
+            return y
+        return launch
+
+    @pytest.mark.parametrize("engine", ["vector", "jit"])
+    @pytest.mark.parametrize("damage", ["stripped", "foreign-version"])
+    def test_program_without_usable_bytecode_raises(self, engine, damage):
+        launch = self._damaged_launch(engine, damage)
+        with pytest.raises(KernelLaunchError, match="'scale'"):
+            launch()
+
+    @pytest.mark.parametrize("damage", ["stripped", "foreign-version"])
+    def test_serial_runs_the_optimized_tree_without_bytecode(self, damage):
+        """The serial oracle walks the -O2 tree, so the program's
+        bytecode is never read: damaged bytecode still runs right."""
+        y = self._damaged_launch("serial", damage)()
+        np.testing.assert_array_equal(
+            y, np.arange(64, dtype=np.float32) * np.float32(2.0))
 
 
 # -- cross-process reuse ------------------------------------------------------
@@ -422,6 +458,21 @@ class TestCLI:
             assert cache.path == tmp_path
         finally:
             diskcache._active, diskcache._configured = saved
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
+    def test_invalid_max_bytes_env_raises(self, tmp_path, monkeypatch,
+                                          value):
+        """A bad ``HPL_CACHE_MAX_BYTES`` is an error naming the variable
+        and its value, never a silent fall-back to the default cap."""
+        monkeypatch.setenv("HPL_CACHE_MAX_BYTES", value)
+        with pytest.raises(ValueError,
+                           match=f"HPL_CACHE_MAX_BYTES='{value}'"):
+            hpl.configure(cache_dir=tmp_path)
+        monkeypatch.setenv("HPL_CACHE_MAX_BYTES", "4096")
+        try:
+            assert hpl.configure(cache_dir=tmp_path).max_bytes == 4096
+        finally:
+            hpl.configure(cache_dir=None)
 
 
 # -- lock lifecycle -----------------------------------------------------------

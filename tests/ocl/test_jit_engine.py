@@ -183,3 +183,44 @@ class TestSourceCache:
         assert jit_mod._source_memo
         reset_runtime()
         assert not jit_mod._source_memo
+
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_build_options_key_generated_source(self, tmp_path, disk):
+        """``-D`` macros change the program without changing its source
+        text, so the generated-source memo and the ``.jitsrc`` sidecars
+        must key by the build options too: a second build with another
+        ``-DSCALE`` never runs the first build's code, in-process or
+        from a warm disk cache."""
+        source = ("__kernel void k(__global int* y)"
+                  " { int i = get_global_id(0); y[i] = i * SCALE; }")
+        device = cl.Device(TESLA_C2050, "jit")
+
+        def run(scale):
+            y = np.zeros(16, np.int32)
+            run_cl_kernel(device, source, "k", [y], (16,),
+                          options=f"-O2 -DSCALE={scale}")
+            return y
+
+        expect = np.arange(16, dtype=np.int32)
+        if disk:
+            hpl.configure(cache_dir=tmp_path)
+        try:
+            np.testing.assert_array_equal(run(2), 2 * expect)
+            if disk:
+                reset_runtime()         # next build reads the disk store
+            np.testing.assert_array_equal(run(3), 3 * expect)
+            if disk:
+                assert len(list(tmp_path.glob("*.jitsrc"))) == 2
+                reset_runtime()
+                np.testing.assert_array_equal(run(3), 3 * expect)
+        finally:
+            if disk:
+                hpl.configure(cache_dir=None)
+
+    def test_key_without_options_is_unchanged(self):
+        """Builds without options (every HPL build) keep their key."""
+        args = ("__kernel void k() {}", 2, 1)
+        assert (jit_mod.source_cache_key(*args)
+                == jit_mod.source_cache_key(*args, ""))
+        assert (jit_mod.source_cache_key(*args, "-DX=1")
+                != jit_mod.source_cache_key(*args))
